@@ -15,6 +15,8 @@
 # The live smoke checks the streaming dashboard and the run-history
 # store's compare/regress on the traces exported along the way (all
 # indexed into a throwaway REPRO_RUNS_DIR, keeping the checkout clean).
+# The benchmark-correctness smoke runs perfbench's per-step output checks
+# on the figure sweep.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -114,6 +116,16 @@ timeout 300 env PYTHONPATH=src python -m repro scale \
 grep -q "weak scaling of the VM scheduler" "$tmp/scale.txt"
 grep -Eq "^ +256 .*x$" "$tmp/scale.txt"
 echo "weak-scaling smoke: OK"
+
+# benchmark-correctness smoke: figure_sweep passes run perfbench's
+# per-step invariants (one owner per element, wremap conserved across the
+# remap, greedy reassignment keeps >= 1/2 of the optimum) and the
+# same-seed reproducibility check; fails unless the last line reports
+# "correct": true
+timeout 300 python3 perfbench/run.py --workload figure_sweep --seed 0 \
+    --seconds 0 --trace 0 > "$tmp/perfbench.txt"
+tail -n 1 "$tmp/perfbench.txt" | grep -q '"correct": true'
+echo "benchmark-correctness smoke: OK"
 
 # wall regressions gate at 1.4x: single-core CI hosts show ±30% wall
 # noise run to run, and the strict check is the virtual-second series,

@@ -1,7 +1,8 @@
 """Run the tracked benchmarks and compare against a committed baseline.
 
 Each bench is run *cold* (the figure sweep's memoised ``run_step`` cache
-is cleared first, so every bench pays for its own adapt→balance cycles)
+and the partition memo are cleared first, so every bench pays for its own
+adapt→balance cycles and partitions)
 with an ambient :class:`repro.obs.Tracer` installed; host wall seconds
 are measured around the call, and the modelled virtual seconds per phase
 come from the recorded spans.  ``with_reference=True`` repeats each
@@ -37,10 +38,12 @@ class BenchComparisonError(RuntimeError):
     """A bench regressed against the baseline (wall) or diverged (virtual)."""
 
 
-def _clear_sweep_cache() -> None:
+def _clear_caches() -> None:
     from repro.experiments.sweep import run_step
+    from repro.partition.multilevel import clear_partition_memo
 
     run_step.cache_clear()
+    clear_partition_memo()
 
 
 def run_bench(name: str, resolution: int, repeats: int = 1) -> dict:
@@ -56,7 +59,7 @@ def run_bench(name: str, resolution: int, repeats: int = 1) -> dict:
     case_for(resolution)  # mesh construction is not part of the measured cycle
     wall = float("inf")
     for _ in range(max(1, repeats)):
-        _clear_sweep_cache()
+        _clear_caches()
         tracer = Tracer()
         t0 = time.perf_counter()
         with use_tracer(tracer):

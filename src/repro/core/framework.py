@@ -197,6 +197,11 @@ class LoadBalancedAdaptiveSolver:
         self.backend = backend
         self.tracer = tracer
         self.dual = DualGraph(self.adaptive.initial_mesh)
+        if F * nproc > self.dual.n:
+            raise ValueError(
+                f"F*nproc = {F * nproc} partitions exceed the "
+                f"{self.dual.n} elements of the initial mesh"
+            )
         # initial partitioning + mapping (Fig. 1's initialization box):
         # partition id f·P… maps to processor id partition // F
         init = multilevel_kway(self.dual.comp_graph(), F * nproc, seed=seed)
@@ -236,6 +241,10 @@ class LoadBalancedAdaptiveSolver:
         ``evaluate`` / ``repartition`` / ``gather_scatter`` / ``reassign``
         / ``decide`` / ``remap`` children for the load balancer.
         """
+        if edge_error is not None:
+            edge_error = np.asarray(edge_error, dtype=np.float64)
+            if not np.isfinite(edge_error).all():
+                raise ValueError("edge_error must be finite everywhere")
         report = StepReport()
         tracer = self.tracer or current_tracer() or Tracer()
         first_span = len(tracer.spans)
@@ -278,8 +287,8 @@ class LoadBalancedAdaptiveSolver:
                 )
                 tracer.metric("repro.adapt.elements_before", ms.n_elements)
             if edge_error is not None:
-                err = np.asarray(edge_error, dtype=np.float64)
-                norm = float(np.sqrt(np.mean(err * err))) if err.size else 0.0
+                norm = (float(np.sqrt(np.mean(edge_error * edge_error)))
+                        if edge_error.size else 0.0)
                 tracer.metric("repro.solver.indicator_norm", norm)
             report.marking = marking
             report.marking_time = ledger.elapsed

@@ -294,12 +294,19 @@ def kway_greedy_refine(
     negative gain.  With ``balance_only=True`` cut-improving moves between
     balanced partitions are suppressed — the mode the seeded repartitioner
     uses to keep data movement minimal.
+
+    In that mode only vertices of overweight partitions can move (no
+    destination may exceed the cap, so none becomes overweight), so others
+    are skipped before their connectivity is built, and a pass with no
+    overweight partition ends at once — the same moves, less work.
     """
+    part_np = np.array(part, dtype=np.int64)
+    if part_np.size and (part_np.min() < 0 or part_np.max() >= k):
+        raise ValueError(f"part labels must be in [0, {k})")
     if reference_enabled():
         return kway_greedy_refine_reference(
-            graph, part, k, ub, max_passes, balance_only
+            graph, part_np, k, ub, max_passes, balance_only
         )
-    part_np = np.array(part, dtype=np.int64)
     total = graph.total_vwgt()
     cap = ub * (total / k)
     loads = np.bincount(
@@ -315,17 +322,21 @@ def kway_greedy_refine(
     neg_inf = float("-inf")
 
     for _ in range(max_passes):
+        if balance_only and max(loads) <= cap:
+            break
         moved = 0
         part_arr = np.asarray(part_l, dtype=np.int64)
         boundary = np.unique(src[part_arr[src] != part_arr[adj_np]]).tolist()
         for v in boundary:
             s = part_l[v]
+            overweight = loads[s] > cap
+            if balance_only and not overweight:
+                continue
             conn: dict[int, int] = {}
             for i in range(ptr[v], ptr[v + 1]):
                 pu = part_l[adj[i]]
                 conn[pu] = conn.get(pu, 0) + ewgt[i]
             internal = conn.get(s, 0)
-            overweight = loads[s] > cap
             wv = vwgt[v]
             best_t = -1
             best_gain = neg_inf

@@ -5,11 +5,22 @@ coarsest graph with greedy graph growing, then uncoarsen while refining
 with FM at every level.  k-way partitions come from recursive bisection
 with proportional weight splits, followed by a final k-way greedy boundary
 refinement.  All randomness flows through an explicit seed.
+
+A k-way partition is a pure function of the graph's content, ``k``, the
+seed and ``ub``, so :func:`multilevel_kway` memoises it in a small LRU
+keyed by a digest of the CSR arrays: the figure sweep builds dozens of
+solvers on one mesh and would otherwise partition it from scratch each
+time.  Reference-kernel runs bypass the memo so the oracle really runs.
 """
 
 from __future__ import annotations
 
+import hashlib
+from collections import OrderedDict
+
 import numpy as np
+
+from repro.kernels import reference_enabled
 
 from .contract import contract
 from .fm_refine import fm_bisection_refine, kway_greedy_refine
@@ -17,12 +28,21 @@ from .graph import Graph
 from .initial import greedy_graph_growing
 from .matching import heavy_edge_matching
 
-__all__ = ["multilevel_bisect", "multilevel_kway", "MultilevelPartitioner"]
+__all__ = [
+    "MultilevelPartitioner",
+    "clear_partition_memo",
+    "multilevel_bisect",
+    "multilevel_kway",
+]
 
 #: Stop coarsening below this many vertices.
 _COARSEN_TO = 64
 #: Stop coarsening when a level shrinks by less than this factor.
 _MIN_SHRINK = 0.95
+#: Most partitions :func:`multilevel_kway` keeps (least recently used go).
+_MEMO_SIZE = 32
+#: (graph digest, k, seed, ub) -> read-only partition, in LRU order.
+_MEMO: OrderedDict[tuple, np.ndarray] = OrderedDict()
 
 
 def multilevel_bisect(
@@ -56,14 +76,49 @@ def multilevel_kway(
     seed: int = 0,
     ub: float = 1.05,
 ) -> np.ndarray:
-    """Partition into ``k`` parts via recursive bisection + k-way refine."""
+    """Partition into ``k`` parts via recursive bisection + k-way refine.
+
+    Results are memoised by graph content (see the module docstring); every
+    call returns a fresh array the caller may modify.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if not ub >= 1.0:
+        raise ValueError(f"ub must be >= 1, got {ub}")
+    memo = not reference_enabled()
+    if memo:
+        key = _memo_key(graph, k, seed, ub)
+        hit = _MEMO.pop(key, None)
+        if hit is not None:
+            _MEMO[key] = hit  # now the most recently used
+            return hit.copy()
     part = np.zeros(graph.n, dtype=np.int64)
     _recurse(graph, np.arange(graph.n, dtype=np.int64), k, 0, seed, ub, part)
     if k > 1:
         part = kway_greedy_refine(graph, part, k, ub=ub)
+    if memo:
+        part.setflags(write=False)
+        _MEMO[key] = part
+        if len(_MEMO) > _MEMO_SIZE:
+            _MEMO.popitem(last=False)
+        part = part.copy()
     return part
+
+
+def clear_partition_memo() -> None:
+    """Forget every memoised :func:`multilevel_kway` result."""
+    _MEMO.clear()
+
+
+def _memo_key(graph: Graph, k: int, seed: int, ub: float) -> tuple:
+    """Digest of the CSR arrays (lengths included) plus the parameters."""
+    arrays = [np.ascontiguousarray(a, dtype=np.int64)
+              for a in (graph.ptr, graph.adj, graph.vwgt, graph.ewgt)]
+    h = hashlib.blake2b(digest_size=16)
+    h.update(np.array([a.size for a in arrays], dtype=np.int64).tobytes())
+    for a in arrays:
+        h.update(a)
+    return h.digest(), int(k), int(seed), float(ub)
 
 
 def _recurse(

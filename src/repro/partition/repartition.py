@@ -49,6 +49,8 @@ def repartition(
     :func:`repro.partition.parallel_model.partition_time`).
     """
     tracer = tracer if tracer is not None else current_tracer()
+    if not ub >= 1.0:
+        raise ValueError(f"ub must be >= 1, got {ub}")
     old_part = np.asarray(old_part, dtype=np.int64)
     if old_part.shape != (graph.n,):
         raise ValueError(f"old_part must have shape ({graph.n},)")

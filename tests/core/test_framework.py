@@ -36,6 +36,31 @@ def test_constructor_validation():
         LoadBalancedAdaptiveSolver(m, 2, reassigner="optimal_bmcm", F=2)
 
 
+def test_more_partitions_than_elements_rejected():
+    m = box_mesh(1, 1, 1)  # 6 tetrahedra
+    LoadBalancedAdaptiveSolver(m, 6)
+    with pytest.raises(ValueError, match="exceed the 6 elements"):
+        LoadBalancedAdaptiveSolver(m, 8)
+    with pytest.raises(ValueError, match="F\\*nproc = 8"):
+        LoadBalancedAdaptiveSolver(m, 4, F=2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_edge_error_rejected(bad):
+    s = make_solver(4)
+    part0 = s.part.copy()
+    ne0 = s.adaptive.mesh.ne
+    err = corner_error(s.adaptive.mesh)
+    for poisoned in (np.full_like(err, bad), np.where(np.arange(err.size) == 3,
+                                                      bad, err)):
+        with pytest.raises(ValueError, match="finite"):
+            s.adapt_step(edge_error=poisoned, refine_frac=0.3)
+    # rejected before any state changed: a clean step still runs
+    assert np.array_equal(s.part, part0)
+    assert s.adaptive.mesh.ne == ne0
+    assert s.adapt_step(edge_error=err, refine_frac=0.3).accepted
+
+
 def test_initial_partition_balanced():
     s = make_solver(4)
     assert s.solver_imbalance() <= 1.15
