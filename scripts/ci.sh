@@ -16,7 +16,8 @@
 # store's compare/regress on the traces exported along the way (all
 # indexed into a throwaway REPRO_RUNS_DIR, keeping the checkout clean).
 # The benchmark-correctness smoke runs perfbench's per-step output checks
-# on the figure sweep.
+# on the figure sweep and on the moving front (coarsen -> refine -> remap
+# on real multiprocessing rank processes).
 set -e
 cd "$(dirname "$0")/.."
 
@@ -117,14 +118,17 @@ grep -q "weak scaling of the VM scheduler" "$tmp/scale.txt"
 grep -Eq "^ +256 .*x$" "$tmp/scale.txt"
 echo "weak-scaling smoke: OK"
 
-# benchmark-correctness smoke: figure_sweep passes run perfbench's
+# benchmark-correctness smoke: each workload's passes run perfbench's
 # per-step invariants (one owner per element, wremap conserved across the
 # remap, greedy reassignment keeps >= 1/2 of the optimum) and the
-# same-seed reproducibility check; fails unless the last line reports
-# "correct": true
-timeout 300 python3 perfbench/run.py --workload figure_sweep --seed 0 \
-    --seconds 0 --trace 0 > "$tmp/perfbench.txt"
-tail -n 1 "$tmp/perfbench.txt" | grep -q '"correct": true'
+# same-seed reproducibility check; moving_front runs them after every
+# coarsen -> refine -> remap step on the multiprocessing backend.  Fails
+# unless each run's last line reports "correct": true
+for workload in figure_sweep moving_front; do
+    timeout 300 python3 perfbench/run.py --workload "$workload" --seed 0 \
+        --seconds 0 --trace 0 > "$tmp/perfbench.txt"
+    tail -n 1 "$tmp/perfbench.txt" | grep -q '"correct": true'
+done
 echo "benchmark-correctness smoke: OK"
 
 # wall regressions gate at 1.4x: single-core CI hosts show ±30% wall

@@ -243,8 +243,20 @@ class LoadBalancedAdaptiveSolver:
         """
         if edge_error is not None:
             edge_error = np.asarray(edge_error, dtype=np.float64)
+            nedges = self.adaptive.mesh.nedges
+            if edge_error.shape != (nedges,):
+                raise ValueError(
+                    f"edge_error must have shape ({nedges},), "
+                    f"got {edge_error.shape}"
+                )
             if not np.isfinite(edge_error).all():
                 raise ValueError("edge_error must be finite everywhere")
+        if edge_mask is not None:
+            edge_mask = np.asarray(edge_mask)
+            if edge_mask.dtype != np.bool_:
+                raise ValueError(
+                    f"edge_mask must be boolean, got dtype {edge_mask.dtype}"
+                )
         report = StepReport()
         tracer = self.tracer or current_tracer() or Tracer()
         first_span = len(tracer.spans)

@@ -65,8 +65,11 @@ def build_faces(
         empty3 = np.empty((0, 3), dtype=np.int64)
         empty1 = np.empty(0, dtype=np.int64)
         return empty3, empty1, np.empty((0, 2), dtype=np.int64)
-    tri = np.sort(elems[:, LOCAL_FACES], axis=2).astype(np.int64)  # (ne,4,3)
-    keys = (tri[..., 0] * nv + tri[..., 1]) * nv + tri[..., 2]
+    tri = elems[:, LOCAL_FACES].astype(np.int64)  # (ne, 4, 3)
+    lo = tri.min(axis=2)
+    hi = tri.max(axis=2)
+    mid = tri.sum(axis=2) - lo - hi
+    keys = (lo * nv + mid) * nv + hi  # the sorted vertex triple as one key
     flat = keys.ravel()
     owner = np.repeat(np.arange(ne, dtype=np.int64), 4)
 
@@ -105,11 +108,13 @@ def csr_from_pairs(
     """
     rows = np.asarray(rows, dtype=np.int64)
     vals = np.asarray(vals, dtype=np.int64)
-    order = np.lexsort((vals, rows))
-    srows = rows[order]
+    # one sort on a (row, value) key: values differ by less than ``span``,
+    # so the key orders by row, then value; equal keys are equal pairs, so
+    # any sort gives the lexsort((vals, rows)) result
+    span = vals.max(initial=0) - vals.min(initial=0) + 1
+    order = np.argsort(rows * span + vals)
     ptr = np.zeros(nrows + 1, dtype=np.int64)
-    np.add.at(ptr, srows + 1, 1)
-    np.cumsum(ptr, out=ptr)
+    np.cumsum(np.bincount(rows, minlength=nrows), out=ptr[1:])
     return ptr, vals[order]
 
 

@@ -91,26 +91,22 @@ class Graph:
                 vwgt=vwgt,
                 ewgt=np.empty(0, dtype=np.int64),
             )
-        # merge duplicates on canonical (lo, hi) keys
-        lo = pairs.min(axis=1)
-        hi = pairs.max(axis=1)
-        keys = lo * n + hi
-        order = np.argsort(keys, kind="stable")
-        keys_s, lo_s, hi_s, w_s = keys[order], lo[order], hi[order], ewgt[order]
-        first = np.r_[True, keys_s[1:] != keys_s[:-1]]
+        # one sort of both directions' (src, dst) keys gives the CSR order;
+        # the copies of a parallel edge land side by side and merge
+        keys = np.concatenate([pairs[:, 0] * n + pairs[:, 1],
+                               pairs[:, 1] * n + pairs[:, 0]])
+        order = np.argsort(keys)
+        keys = keys[order]
+        first = np.empty(keys.shape[0], dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
         starts = np.flatnonzero(first)
-        wsum = np.add.reduceat(w_s, starts) if starts.size else np.empty(0, np.int64)
-        ulo, uhi = lo_s[first], hi_s[first]
-        # symmetrize
-        src = np.concatenate([ulo, uhi])
-        dst = np.concatenate([uhi, ulo])
-        ww = np.concatenate([wsum, wsum])
-        order2 = np.lexsort((dst, src))
-        src, dst, ww = src[order2], dst[order2], ww[order2]
+        ww = np.add.reduceat(np.concatenate([ewgt, ewgt])[order], starts)
+        keys = keys[starts]
+        src = keys // n
         ptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(ptr, src + 1, 1)
-        np.cumsum(ptr, out=ptr)
-        return cls(ptr=ptr, adj=dst, vwgt=vwgt, ewgt=ww)
+        np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
+        return cls(ptr=ptr, adj=keys - src * n, vwgt=vwgt, ewgt=ww)
 
     def with_vwgt(self, vwgt: np.ndarray) -> "Graph":
         """Same topology, new vertex weights (adaption updates Wcomp)."""

@@ -40,8 +40,10 @@ def greedy_graph_growing(
     best_side = None
     best_cut = np.inf
     seeds = rng.choice(n, size=min(ntries, n), replace=False)
+    lists = (graph.ptr.tolist(), graph.adj.tolist(), graph.ewgt.tolist(),
+             graph.vwgt.tolist())
     for seed in seeds:
-        side = _grow(graph, int(seed), target)
+        side = _grow(graph, lists, int(seed), target)
         cut = edgecut(graph, side)
         # prefer smaller cut; require both sides non-empty
         if side.min() == 0 and side.max() == 1 and cut < best_cut:
@@ -53,38 +55,45 @@ def greedy_graph_growing(
     return best_side
 
 
-def _grow(graph: Graph, seed: int, target: float) -> np.ndarray:
-    n = graph.n
-    in_region = np.zeros(n, dtype=bool)
-    gain = np.zeros(n, dtype=np.int64)
+def _grow(
+    graph: Graph,
+    lists: tuple[list[int], list[int], list[int], list[int]],
+    seed: int,
+    target: float,
+) -> np.ndarray:
+    """Grow side 0 from ``seed``; ``lists`` is the graph's ``ptr``, ``adj``,
+    ``ewgt`` and ``vwgt`` as Python lists (scalar loops stay off numpy)."""
+    ptr, adj, ewgt, vwgt = lists
+    in_region = bytearray(graph.n)
+    gain = [0] * graph.n
     heap: list[tuple[int, int]] = []
     grown = 0.0
 
     def absorb(v: int) -> None:
         nonlocal grown
-        in_region[v] = True
-        grown += graph.vwgt[v]
-        nbrs = graph.neighbors(v)
-        wts = graph.edge_weights(v)
-        for u, w in zip(nbrs, wts):
+        in_region[v] = 1
+        grown += vwgt[v]
+        for i in range(ptr[v], ptr[v + 1]):
+            u = adj[i]
             if not in_region[u]:
-                gain[u] += 2 * w  # edge flips from cut to internal
-                heapq.heappush(heap, (-int(gain[u]), int(u)))
+                gu = gain[u] + 2 * ewgt[i]  # edge flips from cut to internal
+                gain[u] = gu
+                heapq.heappush(heap, (-gu, u))
 
     absorb(seed)
     while grown < target and heap:
         g, v = heapq.heappop(heap)
         if in_region[v] or -g != gain[v]:
             continue  # stale heap entry
-        if grown + graph.vwgt[v] > 1.5 * target and grown > 0.5 * target:
+        if grown + vwgt[v] > 1.5 * target and grown > 0.5 * target:
             continue  # adding a huge vertex would overshoot badly
         absorb(v)
     if grown < target:
         # graph was disconnected: top up with the lightest outside vertices
-        outside = np.flatnonzero(~in_region)
-        for v in outside[np.argsort(graph.vwgt[outside])]:
+        outside = np.flatnonzero(np.frombuffer(in_region, dtype=np.uint8) == 0)
+        for v in outside[np.argsort(graph.vwgt[outside])].tolist():
             if grown >= target:
                 break
-            in_region[v] = True
-            grown += graph.vwgt[v]
-    return np.where(in_region, 0, 1).astype(np.int64)
+            in_region[v] = 1
+            grown += vwgt[v]
+    return 1 - np.frombuffer(in_region, dtype=np.uint8).astype(np.int64)

@@ -7,10 +7,14 @@ with proportional weight splits, followed by a final k-way greedy boundary
 refinement.  All randomness flows through an explicit seed.
 
 A k-way partition is a pure function of the graph's content, ``k``, the
-seed and ``ub``, so :func:`multilevel_kway` memoises it in a small LRU
-keyed by a digest of the CSR arrays: the figure sweep builds dozens of
-solvers on one mesh and would otherwise partition it from scratch each
-time.  Reference-kernel runs bypass the memo so the oracle really runs.
+seed and ``ub``, and so is every bisection of the recursion: a node's
+bisection depends only on its vertex set, its weight target ``k0/k``, its
+seed and ``ub``.  :func:`multilevel_kway` memoises both kinds of result in
+one LRU bounded by the bytes it stores, keyed by a digest of the CSR
+arrays: the figure sweep builds dozens of solvers on one mesh and would
+otherwise partition it from scratch each time, and ``2k`` parts open with
+the same bisections as ``k`` parts.  Reference-kernel runs bypass the memo
+so the oracle really runs.
 """
 
 from __future__ import annotations
@@ -39,10 +43,46 @@ __all__ = [
 _COARSEN_TO = 64
 #: Stop coarsening when a level shrinks by less than this factor.
 _MIN_SHRINK = 0.95
-#: Most partitions :func:`multilevel_kway` keeps (least recently used go).
-_MEMO_SIZE = 32
-#: (graph digest, k, seed, ub) -> read-only partition, in LRU order.
-_MEMO: OrderedDict[tuple, np.ndarray] = OrderedDict()
+
+
+class _Memo:
+    """LRU map of read-only arrays, bounded by the bytes they hold."""
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._items: OrderedDict[tuple, np.ndarray] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def get(self, key: tuple) -> np.ndarray | None:
+        hit = self._items.get(key)
+        if hit is not None:
+            self._items.move_to_end(key)  # now the most recently used
+        return hit
+
+    def put(self, key: tuple, value: np.ndarray) -> None:
+        """Store ``value`` read-only; evict the least recently used entries
+        until the bound holds.  An array larger than the bound is not kept."""
+        if value.nbytes > self.max_bytes:
+            return
+        value.setflags(write=False)
+        self._items[key] = value
+        self.nbytes += value.nbytes
+        while self.nbytes > self.max_bytes:
+            _, old = self._items.popitem(last=False)
+            self.nbytes -= old.nbytes
+
+    def clear(self) -> None:
+        self._items.clear()
+        self.nbytes = 0
+
+
+#: ("kway", graph digest, k, seed, ub) -> partition and ("bisect", graph
+#: digest, vertex-set digest, target0, seed, ub) -> side-1 mask.  Bounded by
+#: bytes, not entries: a figure-sweep pass stores ~400 small entries.
+_MEMO = _Memo(max_bytes=16 << 20)
 
 
 def multilevel_bisect(
@@ -85,40 +125,37 @@ def multilevel_kway(
         raise ValueError(f"k must be >= 1, got {k}")
     if not ub >= 1.0:
         raise ValueError(f"ub must be >= 1, got {ub}")
-    memo = not reference_enabled()
-    if memo:
-        key = _memo_key(graph, k, seed, ub)
-        hit = _MEMO.pop(key, None)
+    digest = None if reference_enabled() else _digest(
+        graph.ptr, graph.adj, graph.vwgt, graph.ewgt)
+    if digest is not None:
+        key = ("kway", digest, int(k), int(seed), float(ub))
+        hit = _MEMO.get(key)
         if hit is not None:
-            _MEMO[key] = hit  # now the most recently used
             return hit.copy()
     part = np.zeros(graph.n, dtype=np.int64)
-    _recurse(graph, np.arange(graph.n, dtype=np.int64), k, 0, seed, ub, part)
+    _recurse(graph, np.arange(graph.n, dtype=np.int64), k, 0, seed, ub, part,
+             digest)
     if k > 1:
         part = kway_greedy_refine(graph, part, k, ub=ub)
-    if memo:
-        part.setflags(write=False)
-        _MEMO[key] = part
-        if len(_MEMO) > _MEMO_SIZE:
-            _MEMO.popitem(last=False)
+    if digest is not None:
+        _MEMO.put(key, part)
         part = part.copy()
     return part
 
 
 def clear_partition_memo() -> None:
-    """Forget every memoised :func:`multilevel_kway` result."""
+    """Forget every memoised k-way partition and bisection."""
     _MEMO.clear()
 
 
-def _memo_key(graph: Graph, k: int, seed: int, ub: float) -> tuple:
-    """Digest of the CSR arrays (lengths included) plus the parameters."""
-    arrays = [np.ascontiguousarray(a, dtype=np.int64)
-              for a in (graph.ptr, graph.adj, graph.vwgt, graph.ewgt)]
+def _digest(*arrays: np.ndarray) -> bytes:
+    """Digest of int64 arrays, lengths included."""
+    arrays = tuple(np.ascontiguousarray(a, dtype=np.int64) for a in arrays)
     h = hashlib.blake2b(digest_size=16)
     h.update(np.array([a.size for a in arrays], dtype=np.int64).tobytes())
     for a in arrays:
         h.update(a)
-    return h.digest(), int(k), int(seed), float(ub)
+    return h.digest()
 
 
 def _recurse(
@@ -129,17 +166,40 @@ def _recurse(
     seed: int,
     ub: float,
     out: np.ndarray,
+    digest: bytes | None,
 ) -> None:
+    """Label ``vertices`` with parts ``offset .. offset+k-1``; ``digest``
+    (of ``graph``) keys the bisection memo, ``None`` bypasses it."""
     if k == 1:
         out[vertices] = offset
         return
     k0 = (k + 1) // 2
+    right = _bisect(graph, vertices, k0 / k, seed, ub, digest)
+    _recurse(graph, vertices[~right], k0, offset, seed * 2 + 1, ub, out, digest)
+    _recurse(graph, vertices[right], k - k0, offset + k0, seed * 2 + 2, ub,
+             out, digest)
+
+
+def _bisect(
+    graph: Graph,
+    vertices: np.ndarray,
+    target0: float,
+    seed: int,
+    ub: float,
+    digest: bytes | None,
+) -> np.ndarray:
+    """Mask of the ``vertices`` that bisecting their induced subgraph puts
+    on side 1, memoised under ``digest`` unless it is ``None``."""
+    if digest is not None:
+        key = ("bisect", digest, _digest(vertices), target0, int(seed), float(ub))
+        hit = _MEMO.get(key)
+        if hit is not None:
+            return hit
     sub = _subgraph(graph, vertices)
-    side = multilevel_bisect(sub, target0=k0 / k, seed=seed, ub=ub)
-    left = vertices[side == 0]
-    right = vertices[side == 1]
-    _recurse(graph, left, k0, offset, seed * 2 + 1, ub, out)
-    _recurse(graph, right, k - k0, offset + k0, seed * 2 + 2, ub, out)
+    right = multilevel_bisect(sub, target0=target0, seed=seed, ub=ub) == 1
+    if digest is not None:
+        _MEMO.put(key, right)
+    return right
 
 
 def _subgraph(graph: Graph, vertices: np.ndarray) -> Graph:

@@ -61,6 +61,30 @@ def test_nonfinite_edge_error_rejected(bad):
     assert s.adapt_step(edge_error=err, refine_frac=0.3).accepted
 
 
+@pytest.mark.parametrize("kind", ["float", "int", "string"])
+def test_non_boolean_edge_mask_rejected(kind):
+    s = make_solver(4)
+    nedges, ne0 = s.adaptive.mesh.nedges, s.adaptive.mesh.ne
+    mask = {
+        "float": np.full(nedges, 0.7),
+        "int": np.ones(nedges, dtype=np.int64),
+        "string": np.full(nedges, "yes"),
+    }[kind]
+    with pytest.raises(ValueError, match="edge_mask must be boolean"):
+        s.adapt_step(edge_mask=mask)
+    assert s.adaptive.mesh.ne == ne0
+
+
+def test_wrong_shaped_edge_error_names_edge_error():
+    s = make_solver(4)
+    err = corner_error(s.adaptive.mesh)
+    with pytest.raises(ValueError, match=r"edge_error must have shape"):
+        s.adapt_step(edge_error=err[:-1], refine_frac=0.3)
+    with pytest.raises(ValueError, match=r"edge_error must have shape"):
+        s.adapt_step(edge_error=err.reshape(1, -1), refine_frac=0.3)
+    assert s.adapt_step(edge_error=err, refine_frac=0.3).accepted
+
+
 def test_initial_partition_balanced():
     s = make_solver(4)
     assert s.solver_imbalance() <= 1.15

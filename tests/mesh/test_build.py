@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.mesh import single_tet, two_tets
+from repro.mesh import box_mesh, single_tet, two_tets
 from repro.mesh.build import build_edges, build_faces, csr_from_pairs, invert_to_csr
+from repro.mesh.topology import LOCAL_FACES
 
 
 def test_single_tet_counts():
@@ -46,6 +47,81 @@ def test_csr_from_pairs_groups_and_orders():
     )
     assert ptr.tolist() == [0, 2, 4, 5]
     assert dat.tolist() == [1, 5, 3, 9, 7]
+
+
+def _csr_from_pairs_old(rows, vals, nrows):
+    """The lexsort formulation."""
+    order = np.lexsort((vals, rows))
+    ptr = np.zeros(nrows + 1, dtype=np.int64)
+    np.add.at(ptr, rows[order] + 1, 1)
+    np.cumsum(ptr, out=ptr)
+    return ptr, vals[order]
+
+
+def _build_faces_old(elems, nv):
+    """Face keys from a full sort of each face's vertex triple."""
+    ne = elems.shape[0]
+    if ne == 0:
+        return (np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.int64),
+                np.empty((0, 2), dtype=np.int64))
+    tri = np.sort(elems[:, LOCAL_FACES], axis=2).astype(np.int64)
+    flat = ((tri[..., 0] * nv + tri[..., 1]) * nv + tri[..., 2]).ravel()
+    owner = np.repeat(np.arange(ne, dtype=np.int64), 4)
+    order = np.argsort(flat, kind="stable")
+    skeys, sown = flat[order], owner[order]
+    starts = np.flatnonzero(np.r_[True, skeys[1:] != skeys[:-1]])
+    counts = np.diff(np.append(starts, skeys.shape[0]))
+    if np.any(counts > 2):
+        raise ValueError("non-manifold mesh")
+    b_idx, i_idx = starts[counts == 1], starts[counts == 2]
+    bkeys = skeys[b_idx]
+    bnd = np.column_stack([bkeys // (nv * nv), (bkeys // nv) % nv, bkeys % nv])
+    return bnd, sown[b_idx], np.column_stack([sown[i_idx], sown[i_idx + 1]])
+
+
+def _element_lists():
+    rng = np.random.default_rng(5)
+    yield np.empty((0, 4), dtype=np.int64), 4  # empty mesh
+    m = box_mesh(3, 2, 2)
+    yield m.elems, m.nv
+    yield m.elems[rng.permutation(m.ne)][:, rng.permutation(4)], m.nv
+    for _ in range(20):
+        nv = int(rng.integers(4, 30))
+        ne = int(rng.integers(1, 40))
+        elems = np.array([rng.choice(nv, size=4, replace=False) for _ in range(ne)])
+        yield elems, nv
+
+
+def test_build_faces_matches_sort_formulation():
+    for elems, nv in _element_lists():
+        try:
+            want = _build_faces_old(elems, nv)
+        except ValueError:
+            with pytest.raises(ValueError, match="non-manifold"):
+                build_faces(elems, nv)
+            continue
+        for got, exp in zip(build_faces(elems, nv), want):
+            assert got.dtype == exp.dtype and np.array_equal(got, exp)
+
+
+def test_csr_from_pairs_matches_lexsort_formulation():
+    rng = np.random.default_rng(6)
+    for elems, nv in _element_lists():
+        edges, elem2edge = build_edges(elems, nv)
+        nedge = edges.shape[0]
+        cases = [
+            (edges.ravel(), np.repeat(np.arange(nedge, dtype=np.int64), 2), nv),
+            (elem2edge.ravel(), np.repeat(np.arange(elems.shape[0]), 6), nedge),
+        ]
+        # unsorted, repeated and negative values, empty rows
+        m = int(rng.integers(0, 50))
+        cases.append((rng.integers(0, 7, size=m), rng.integers(-4, 9, size=m), 9))
+        for rows, vals, nrows in cases:
+            rows = rows.astype(np.int64)
+            vals = vals.astype(np.int64)
+            got = csr_from_pairs(rows, vals, nrows)
+            for g, w in zip(got, _csr_from_pairs_old(rows, vals, nrows)):
+                assert np.array_equal(g, w)
 
 
 def test_invert_to_csr_roundtrip():

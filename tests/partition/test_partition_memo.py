@@ -84,27 +84,70 @@ def test_any_input_change_misses(graph, fresh_runs, change):
     assert np.array_equal(got, multilevel_kway(graph, **kw))
 
 
-def test_lru_stays_at_its_bound(graph, fresh_runs):
-    bound = multilevel._MEMO_SIZE
-    for seed in range(bound + 5):
+@pytest.fixture
+def bisections(monkeypatch):
+    """Count ``multilevel_bisect`` and ``_subgraph`` runs."""
+    calls = {"bisect": 0, "subgraph": 0}
+    for name, attr in (("bisect", "multilevel_bisect"), ("subgraph", "_subgraph")):
+        def counting(*args, _real=getattr(multilevel, attr), _name=name, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(multilevel, attr, counting)
+    return calls
+
+
+def test_nested_bisections_are_reused(graph, bisections):
+    multilevel_kway(graph, 4, seed=0)
+    assert bisections == {"bisect": 3, "subgraph": 3}
+    # 8 parts open with the 3 bisections of 4 parts: only the 4 bottom
+    # bisections (of the 4-part leaves) are new
+    got = multilevel_kway(graph, 8, seed=0)
+    assert bisections == {"bisect": 7, "subgraph": 7}
+    multilevel.clear_partition_memo()
+    assert np.array_equal(got, multilevel_kway(graph, 8, seed=0))
+
+
+def _per_k2_call(graph):
+    """Bytes one k=2 call stores: the int64 partition and the root
+    bisection's boolean mask."""
+    return 9 * graph.n
+
+
+def test_lru_stays_at_its_bound(graph, fresh_runs, monkeypatch):
+    keep = 8
+    monkeypatch.setattr(multilevel._MEMO, "max_bytes", keep * _per_k2_call(graph))
+    for seed in range(keep + 5):
         multilevel_kway(graph, 2, seed=seed)
-        assert len(multilevel._MEMO) <= bound
-    assert len(multilevel._MEMO) == bound
-    # seeds 0..4 were evicted; the most recent ``bound`` seeds are kept
+        assert multilevel._MEMO.nbytes <= multilevel._MEMO.max_bytes
+    assert multilevel._MEMO.nbytes == keep * _per_k2_call(graph)
+    assert len(multilevel._MEMO) == 2 * keep
+    # seeds 0..4 were evicted; the most recent ``keep`` seeds are kept
     runs = len(fresh_runs)
-    multilevel_kway(graph, 2, seed=bound + 4)
+    multilevel_kway(graph, 2, seed=keep + 4)
     assert len(fresh_runs) == runs
     multilevel_kway(graph, 2, seed=0)
     assert len(fresh_runs) == runs + 1
-    assert len(multilevel._MEMO) == bound
+    assert multilevel._MEMO.nbytes == keep * _per_k2_call(graph)
 
 
-def test_hit_refreshes_recency(graph, fresh_runs):
-    bound = multilevel._MEMO_SIZE
-    for seed in range(bound):
+def test_entry_larger_than_the_bound_is_not_kept(graph, fresh_runs, monkeypatch):
+    # room for the boolean bisection mask but not the int64 partition
+    monkeypatch.setattr(multilevel._MEMO, "max_bytes", 4 * graph.n)
+    multilevel_kway(graph, 2, seed=0)
+    assert len(multilevel._MEMO) == 1
+    assert multilevel._MEMO.nbytes == graph.n
+    multilevel_kway(graph, 2, seed=0)
+    assert len(fresh_runs) == 2
+
+
+def test_hit_refreshes_recency(graph, fresh_runs, monkeypatch):
+    keep = 8
+    monkeypatch.setattr(multilevel._MEMO, "max_bytes", keep * _per_k2_call(graph))
+    for seed in range(keep):
         multilevel_kway(graph, 2, seed=seed)
     multilevel_kway(graph, 2, seed=0)  # hit: seed 0 becomes most recent
-    multilevel_kway(graph, 2, seed=bound)  # evicts seed 1, not seed 0
+    multilevel_kway(graph, 2, seed=keep)  # evicts seed 1, not seed 0
     runs = len(fresh_runs)
     multilevel_kway(graph, 2, seed=0)
     assert len(fresh_runs) == runs
@@ -112,8 +155,11 @@ def test_hit_refreshes_recency(graph, fresh_runs):
     assert len(fresh_runs) == runs + 1
 
 
-def test_reference_mode_bypasses_the_memo(graph, fresh_runs, monkeypatch):
+def test_reference_mode_bypasses_the_memo(graph, fresh_runs, bisections,
+                                          monkeypatch):
     multilevel_kway(graph, 4, seed=0)
+    before = list(multilevel._MEMO._items.items())
+    nbytes = multilevel._MEMO.nbytes
     ref_fm = []
     real = fm_refine.fm_bisection_refine_reference
 
@@ -123,11 +169,17 @@ def test_reference_mode_bypasses_the_memo(graph, fresh_runs, monkeypatch):
 
     monkeypatch.setattr(fm_refine, "fm_bisection_refine_reference", counting)
     with reference_kernels():
-        multilevel_kway(graph, 4, seed=0)  # would be a hit: must not read
+        multilevel_kway(graph, 4, seed=0)  # k-way and bisection hits: no read
+        multilevel_kway(graph, 8, seed=0)  # nested bisection hits: no read
         multilevel_kway(graph, 4, seed=7)  # a miss: must not write
-    assert len(fresh_runs) == 3
+    assert len(fresh_runs) == 4
+    assert bisections["bisect"] == 3 + 3 + 7 + 3
     assert ref_fm
-    assert len(multilevel._MEMO) == 1
+    # the memo is unchanged, entry for entry and in LRU order
+    after = list(multilevel._MEMO._items.items())
+    assert [k for k, _ in after] == [k for k, _ in before]
+    assert all(a is b for (_, a), (_, b) in zip(after, before))
+    assert multilevel._MEMO.nbytes == nbytes
 
 
 def test_ub_below_one_rejected(graph):
