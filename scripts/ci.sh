@@ -42,16 +42,14 @@ grep -q "delta: +0.000000s" "$tmp/diff.txt"
 echo "report smoke: OK"
 
 # real-backend smoke: the fig6 exec-phase workload must produce payloads
-# identical to the virtual backend's on every measured backend (queue
-# pickling and zero-copy slabs), under a hard timeout so a hung rank
+# identical to the virtual backend's on the forked-process backend
+# (multiprocessing queues), under a hard timeout so a hung rank
 # process fails CI instead of wedging it.  --fit exercises the machine-
 # constant regression on the measured walls; --trace-out exercises the
 # measured (v4) tracing layer end to end.
 timeout 300 env PYTHONPATH=src python -m repro calibrate 4 --nproc 4 --fit \
     --trace-out "$tmp/cal.jsonl" > "$tmp/calibrate.txt"
 grep -q "backend 'multiprocessing' vs 'virtual'" "$tmp/calibrate.txt"
-grep -q "backend 'shm' vs 'virtual'" "$tmp/calibrate.txt"
-grep -q "pickle vs zero-copy (measured host wall" "$tmp/calibrate.txt"
 grep -q "payloads: identical across backends" "$tmp/calibrate.txt"
 grep -q "fitted machine constants" "$tmp/calibrate.txt"
 grep -q "clock alignment per measured run" "$tmp/calibrate.txt"
@@ -64,7 +62,6 @@ echo "real-backend smoke: OK"
 timeout 120 env PYTHONPATH=src python -m repro report "$tmp/cal.jsonl" \
     --format ascii > "$tmp/cal_report.txt"
 grep -q "Per-rank traffic (measured, wall clock)" "$tmp/cal_report.txt"
-grep -q "Transport counters (shm)" "$tmp/cal_report.txt"
 grep -q "Measured critical path (wall clock)" "$tmp/cal_report.txt"
 grep -q "rank 3" "$tmp/cal_report.txt"  # per-rank resource rows (v5)
 timeout 120 env PYTHONPATH=src python -m repro critical-path \

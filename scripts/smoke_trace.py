@@ -12,10 +12,10 @@ bit-for-bit, the Chrome export must carry flow events for the delivered
 messages, and ``repro report`` / ``repro critical-path`` / ``repro
 diff`` must all render from the file alone.
 
-A second pass runs ``repro calibrate`` (virtual + the real mp/shm
-backends on the exec-phase workload) with ``--trace-out`` and checks
-that backend runs emit schema-valid traces carrying both the modelled
-makespans and the measured wall clocks — including the v4 measured
+A second pass runs ``repro calibrate`` (virtual + the real
+``multiprocessing`` backend on the exec-phase workload) with
+``--trace-out`` and checks that backend runs emit schema-valid traces
+carrying both the modelled makespans and the measured wall clocks — including the v4 measured
 layer: clock-alignment records, wall-clock causal runs whose critical
 path matches the rank makespan within the recorded skew bound, the
 measured report/critical-path renderings, and ``repro diff``'s graceful
@@ -230,7 +230,7 @@ def main() -> int:
         if "clock alignment per measured run" not in proc.stdout:
             return fail("calibrate did not print the clock-skew table")
 
-        # v5 resource layer on a real backend: every forked mp/shm rank
+        # v5 resource layer on a real backend: every forked rank
         # must have shipped resource rows back into the trace
         if bsummary.get("resources", 0) == 0:
             return fail("backend trace contains no resource samples")
@@ -240,8 +240,7 @@ def main() -> int:
             if s.name == "repro.resource.peak_rss_bytes"
             and s.rank is not None
         }
-        for needed in ((0, "multiprocessing"), (1, "multiprocessing"),
-                       (0, "shm"), (1, "shm")):
+        for needed in ((0, "multiprocessing"), (1, "multiprocessing")):
             if needed not in rank_res:
                 return fail(
                     f"backend trace lacks per-rank resource peaks for "
@@ -278,7 +277,6 @@ def main() -> int:
             return fail(f"{' '.join(cmd)} exited {proc.returncode}:\n"
                         f"{proc.stdout}\n{proc.stderr}")
         for needle in ("Per-rank traffic (measured, wall clock)",
-                       "Transport counters (shm)",
                        "Measured critical path (wall clock)"):
             if needle not in proc.stdout:
                 return fail(f"measured report omits {needle!r}")

@@ -147,41 +147,6 @@ def _bench_ext_weak_scaling(resolution: int) -> dict:
     return extra
 
 
-def _bench_ext_transport_throughput(resolution: int) -> dict:
-    """Message throughput of the real-core wires: pickle vs zero-copy.
-
-    Streams float64 payloads between two forked rank processes through
-    the ``multiprocessing`` (queue pickling) and ``shm`` (slab pool)
-    backends and records MB/s plus the zero-copy speedup per payload
-    size (:mod:`repro.experiments.transport`).  The recorded
-    ``speedup_*`` extras are the tracked perf gate for the shm
-    transport: >= 5x over pickling at the >= 1 MB points.  Wall times
-    here are genuinely measured (two OS processes timeslicing), so only
-    the suite's wall gate applies — there are no virtual seconds to pin.
-    The quick profile keeps to the 1 MB and 4 MB points with fewer
-    repeats; the full profile adds the 64 KB crossover point, where the
-    slab round-trip and the pickle cost roughly tie.
-    """
-    from repro.experiments.transport import throughput_comparison
-
-    if resolution < 6:
-        sizes, nmsgs, repeats = ((1 << 20), (4 << 20)), 96, 2
-    else:
-        sizes, nmsgs, repeats = ((64 << 10), (1 << 20), (4 << 20)), 128, 3
-    rows = throughput_comparison(
-        payload_sizes=sizes, nmsgs=nmsgs, repeats=repeats
-    )
-    extra: dict = {}
-    for row in rows:
-        kb = row["payload_bytes"] >> 10
-        tag = f"{kb >> 10}mb" if kb >= 1024 else f"{kb}kb"
-        extra[f"speedup_{tag}"] = round(row["speedup"], 2)
-        for name, pt in row["points"].items():
-            short = "shm" if name == "shm" else "pickle"
-            extra[f"{short}_mb_s_{tag}"] = round(pt.bytes_per_s / 1e6, 1)
-    return extra
-
-
 def _bench_ext_tracing_overhead(resolution: int) -> dict:
     """Measured-tracing recorder overhead on the fig6 mp workload.
 
@@ -249,11 +214,6 @@ BENCHES: dict[str, Bench] = {
             _bench_ext_weak_scaling,
         ),
         Bench(
-            "ext_transport_throughput",
-            "Extension — real-core wire throughput, pickle vs zero-copy",
-            _bench_ext_transport_throughput,
-        ),
-        Bench(
             "ext_tracing_overhead",
             "Extension — measured-tracing recorder overhead on the mp backend",
             _bench_ext_tracing_overhead,
@@ -266,9 +226,6 @@ BENCHES: dict[str, Bench] = {
     )
 }
 
-#: The CI subset: one sweep-driven bench, one adaptor bench, one VM bench,
-#: the scheduler weak-scaling perf gate, and the transport perf gate.
-QUICK_BENCHES = (
-    "fig6", "table1", "ext_vm_vs_ledger", "ext_weak_scaling",
-    "ext_transport_throughput",
-)
+#: The CI subset: one sweep-driven bench, one adaptor bench, one VM bench
+#: and the scheduler weak-scaling perf gate.
+QUICK_BENCHES = ("fig6", "table1", "ext_vm_vs_ledger", "ext_weak_scaling")

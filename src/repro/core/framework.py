@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from repro.adapt.marking import MarkingResult
 from repro.adapt.stats import marking_stats
 from repro.mesh.tetmesh import TetMesh
 from repro.obs import Span, Tracer, current_tracer
+from repro.parallel.backends import validate_backend
 from repro.parallel.ledger import CostLedger
 from repro.parallel.machine import MachineModel, SP2_1997
 from repro.partition import quality as pq
@@ -51,6 +53,15 @@ _REASSIGNERS = {
     "optimal_bmcm": lambda S, F, a, b: optimal_bmcm(S, alpha=a, beta=b),
     "combined": lambda S, F, a, b: _combined(S, a, b),
 }
+
+
+def _check_int(name: str, value, minimum: int) -> None:
+    """Reject a non-integer (numpy integers are fine) or one below ``minimum``."""
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or value < minimum):
+        raise ValueError(
+            f"{name} must be an integer >= {minimum}, got {value!r}"
+        )
 
 
 def _combined(S, alpha, beta):
@@ -168,10 +179,16 @@ class LoadBalancedAdaptiveSolver:
         backend="virtual",
         tracer: Tracer | None = None,
     ):
-        if nproc < 1:
-            raise ValueError(f"nproc must be >= 1, got {nproc}")
-        if F < 1:
-            raise ValueError(f"F must be >= 1, got {F}")
+        _check_int("nproc", nproc, 1)
+        _check_int("F", F, 1)
+        _check_int("seed", seed, 0)
+        if not isinstance(imbalance_threshold, Real) or not (
+            imbalance_threshold >= 1.0
+        ):
+            raise ValueError(
+                "imbalance_threshold must be a number >= 1.0 (inf disables "
+                f"balancing), got {imbalance_threshold!r}"
+            )
         if reassigner not in _REASSIGNERS:
             raise ValueError(
                 f"unknown reassigner {reassigner!r}; choose from "
@@ -183,6 +200,7 @@ class LoadBalancedAdaptiveSolver:
             )
         if remap_when not in ("before", "after"):
             raise ValueError(f"remap_when must be 'before' or 'after', got {remap_when!r}")
+        validate_backend(backend, nproc)
         self.adaptive = mesh if isinstance(mesh, AdaptiveMesh) else AdaptiveMesh(
             mesh, solution
         )

@@ -87,10 +87,9 @@ def migrate(
     comm = resolve_backend(backend, nproc, machine=machine, tracer=tracer)
     # On measured backends the element blocks really cross the wire —
     # `nwords`-sized float64 payloads — so the wall clocks pay for the
-    # words the model charges (and the zero-copy transport can carry
-    # them).  The virtual machine keeps the modelled-traffic form: the
-    # clock only reads `nwords`, and skipping the allocation keeps the
-    # deterministic path's host wall unchanged.
+    # words the model charges.  The virtual machine keeps the
+    # modelled-traffic form: the clock only reads `nwords`, and skipping
+    # the allocation keeps the deterministic path's host wall unchanged.
     real_wire = bool(getattr(comm, "measured", False))
 
     def program(comm, sends, n_in, new_size):

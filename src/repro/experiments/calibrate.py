@@ -58,15 +58,9 @@ class WorkloadResult:
     refine_signature: np.ndarray  #: canonical merged refined-mesh signature
     elements_moved: int
     final_ne: int  #: elements in the reassembled global mesh
-    #: ``repro.transport.*`` counter totals accumulated over the run's
-    #: backend executions (all zero for backends without a slab transport)
-    transport: dict = field(default_factory=dict)
 
     def makespans(self) -> dict[str, float]:
         return {p.phase: p.makespan for p in self.phases}
-
-    def host_walls(self) -> dict[str, float]:
-        return {p.phase: p.host_wall for p in self.phases}
 
 
 @dataclass(frozen=True)
@@ -96,14 +90,8 @@ def run_exec_phase_workload(
     only the transport differs.  Decomposition/partitioning happen on the
     host and are excluded from the phase clocks.
     """
-    from repro.parallel.backends.shm import (
-        reset_transport_totals,
-        transport_totals,
-    )
-
     from .cases import make_case
 
-    reset_transport_totals()
     case = make_case(resolution, seed=seed)
     mesh = case.mesh
     dual = Graph.from_pairs(mesh.dual_pairs, mesh.ne)
@@ -163,7 +151,6 @@ def run_exec_phase_workload(
         refine_signature=refine_res.merged_signature(),
         elements_moved=mig.elements_moved,
         final_ne=fin.mesh.ne,
-        transport=transport_totals(),
     )
 
 
@@ -249,34 +236,6 @@ def format_calibration(report: CalibrationReport) -> str:
         w_tot = sum(got.values())
         ratio = f"{w_tot / v_tot:18.2f}" if v_tot > 0 else " " * 18
         lines.append(f"  {'total':10s} {v_tot:12.6f} {w_tot:12.6f} {ratio}")
-        t = run.transport
-        if t and (t.get("msgs_zero_copy") or t.get("msgs_pickled")):
-            lines.append(
-                f"  transport: {t.get('bytes_zero_copy', 0) / 1e6:.2f} MB "
-                f"zero-copy ({t.get('msgs_zero_copy', 0)} msgs) / "
-                f"{t.get('bytes_pickled', 0) / 1e6:.2f} MB pickled "
-                f"({t.get('msgs_pickled', 0)} msgs), "
-                f"slab reuse {t.get('slab_reuse', 0)}, "
-                f"spills {t.get('spills', 0)}"
-            )
-    by_name = {run.backend: run for run in report.measured}
-    if "multiprocessing" in by_name and "shm" in by_name:
-        pickle_w = by_name["multiprocessing"].host_walls()
-        zc_w = by_name["shm"].host_walls()
-        lines.append(
-            "\npickle vs zero-copy (measured host wall, same workload):"
-        )
-        lines.append(
-            f"  {'phase':10s} {'pickle(s)':>12s} {'zero-copy(s)':>12s} "
-            f"{'speedup':>8s}"
-        )
-        for phase in PHASES:
-            p, z = pickle_w[phase], zc_w[phase]
-            speedup = f"{p / z:7.2f}x" if z > 0 else " " * 8
-            lines.append(f"  {phase:10s} {p:12.6f} {z:12.6f} {speedup}")
-        p_tot, z_tot = sum(pickle_w.values()), sum(zc_w.values())
-        speedup = f"{p_tot / z_tot:7.2f}x" if z_tot > 0 else " " * 8
-        lines.append(f"  {'total':10s} {p_tot:12.6f} {z_tot:12.6f} {speedup}")
     if report.payloads_identical:
         lines.append(
             "\npayloads: identical across backends "

@@ -13,7 +13,7 @@ once the run has finished.  This module adds the *live* path:
     update; the hub never blocks a publisher.
 
 :class:`LiveChannel`
-    The side channel for forked ``multiprocessing``/``shm`` ranks: a
+    The side channel for forked ``multiprocessing`` ranks: a
     bounded ``multiprocessing`` queue the children write compact frame
     tuples into with ``put_nowait`` — a full queue *drops* the frame, so
     the measured clock path never blocks on telemetry — and the parent

@@ -125,14 +125,6 @@ _VM_WALL_COLS = (
     ("idle s", "repro.vm.idle_seconds"),
     ("wait s", "repro.vm.wait_seconds"),
 )
-_TRANSPORT_COLS = (
-    ("0-copy bytes", "repro.transport.bytes_zero_copy"),
-    ("pickled bytes", "repro.transport.bytes_pickled"),
-    ("0-copy msgs", "repro.transport.msgs_zero_copy"),
-    ("pickled msgs", "repro.transport.msgs_pickled"),
-    ("slab reuse", "repro.transport.slab_reuse"),
-    ("spills", "repro.transport.spills"),
-)
 
 
 def _rank_rows(tracer: Tracer, cols,
@@ -151,15 +143,6 @@ def _rank_rows(tracer: Tracer, cols,
         [r] + [per[label].get(r) for label, _ in cols] for r in ranks
     ]
     return headers, rows
-
-
-def _transport_backends(tracer: Tracer) -> list[str]:
-    """Distinct ``backend`` label values carrying transport counters."""
-    out = set()
-    for s in tracer.metrics.samples():
-        if s.name.startswith("repro.transport."):
-            out.add(dict(s.labels).get("backend", ""))
-    return sorted(out)
 
 
 def _top_spans(tracer: Tracer, n: int) -> list:
@@ -356,24 +339,6 @@ def render_ascii(tracer: Tracer, source: str = "", top: int = 10) -> str:
         parts.append("Per-rank traffic (measured, wall clock)")
         parts.append(_table(
             headers, [[_fmt(c) for c in row] for row in rank_rows]
-        ))
-
-    for backend in _transport_backends(tracer):
-        labels = {"backend": backend} if backend else {}
-        headers, rank_rows = _rank_rows(tracer, _TRANSPORT_COLS,
-                                        labels=labels)
-        if not rank_rows:
-            continue
-        totals = ["total"] + [
-            sum(row[i + 1] or 0 for row in rank_rows)
-            for i in range(len(_TRANSPORT_COLS))
-        ]
-        parts.append("")
-        parts.append(f"Transport counters ({backend or 'backend'})")
-        parts.append(_table(
-            headers,
-            [[_fmt(c) for c in row] for row in rank_rows]
-            + [[str(totals[0])] + [_fmt(c) for c in totals[1:]]],
         ))
 
     res_headers, res_rows = _resource_rows(tracer)
@@ -872,24 +837,6 @@ def render_html(tracer: Tracer, title: str = "repro run report",
         )
         sections.append(
             f"<section><h2>Per-rank traffic — {label}</h2>"
-            + bars + table + "</section>"
-        )
-
-    for backend in _transport_backends(tracer):
-        labels = {"backend": backend} if backend else {}
-        headers, rank_rows = _rank_rows(tracer, _TRANSPORT_COLS,
-                                        labels=labels)
-        if not rank_rows:
-            continue
-        bars = _svg_rank_bars(
-            reg.per_rank("repro.transport.bytes_zero_copy", labels=labels),
-            unit=" zero-copy bytes",
-        )
-        table = _html_table(
-            headers, [[_fmt(c) for c in row] for row in rank_rows]
-        )
-        sections.append(
-            f"<section><h2>Transport counters — {_html.escape(backend or 'backend')}</h2>"
             + bars + table + "</section>"
         )
 

@@ -12,14 +12,14 @@ trace-driven adaptive control reads its policy evidence from:
     kind (``trace`` or ``bench``), label, a hash of the run
     configuration, the backends involved, and a flat map of headline
     metrics (makespan, wall seconds, per-phase virtual seconds, balance
-    quality, transport totals, resource peaks).  One-file-per-run keeps
+    quality, resource peaks).  One-file-per-run keeps
     concurrent writers (CI shards, parallel local runs) conflict-free.
 
 :func:`summarize_trace`
     Extract the headline-metric map from a trace file or in-memory
     tracer — phase virtual seconds, critical-path makespan, measured
-    wall makespans, partition quality, remap volume, transport counters,
-    and ``repro.resource.*`` peaks.
+    wall makespans, partition quality, remap volume and
+    ``repro.resource.*`` peaks.
 
 :func:`compare_records` / :func:`find_regressions`
     Metric-by-metric deltas between two runs, and regression flagging of
@@ -228,7 +228,7 @@ def summarize_trace(tracer) -> tuple[dict, list[str]]:
 
     The metric map is flat name -> float: total/per-phase virtual
     seconds, host wall seconds, virtual and measured critical-path
-    makespans, partition quality, remap volume, transport totals, and
+    makespans, partition quality, remap volume and
     resource peaks — exactly the columns cross-run comparison needs.
     """
     from .causal import analyze
@@ -269,18 +269,9 @@ def summarize_trace(tracer) -> tuple[dict, list[str]]:
     for name, key in (
         ("repro.remap.elements_moved", "remap_elements_moved"),
         ("repro.remap.words_moved", "remap_words_moved"),
-        ("repro.transport.bytes_zero_copy", "transport_bytes_zero_copy"),
-        ("repro.transport.bytes_pickled", "transport_bytes_pickled"),
-        ("repro.transport.spills", "transport_spills"),
     ):
         if reg.max_value(name) is not None:
-            # rank-labelled transport series double the unlabelled totals,
-            # so only sum the rank-free samples when both exist
-            total = sum(
-                float(s.value) for s in reg.samples()
-                if s.name == name and s.rank is None
-            ) or reg.total(name)
-            metrics[key] = total
+            metrics[key] = reg.total(name)
 
     peaks = resource_peaks(getattr(tracer, "resource_samples", ()))
     if peaks:

@@ -1,6 +1,6 @@
 """Per-rank wall-clock event recording and clock alignment.
 
-The real-core backends (``multiprocessing`` / ``shm`` / ``mpi4py``) run
+The real-core backends (``multiprocessing`` / ``mpi4py``) run
 each rank in its own OS process with its own ``time.perf_counter()``
 stream.  This module supplies the three pieces that turn those streams
 into the same causal-trace model the virtual machine records
@@ -94,7 +94,7 @@ class WallRecorder:
     """
 
     __slots__ = ("t0", "kinds", "starts", "ends", "waits", "msgs",
-                 "sends", "spills", "_last")
+                 "sends", "_last")
 
     def __init__(self):
         self.t0 = 0.0  #: clock start (set by :meth:`start`)
@@ -105,8 +105,6 @@ class WallRecorder:
         self.msgs: list[int] = []  #: message id touched, -1 for none
         #: per send, ``(msg_id, dest, tag, nwords)`` in send order
         self.sends: list[tuple[int, int, int, int]] = []
-        #: ``(t, msg_id)`` for each send whose payload spilled to pickle
-        self.spills: list[tuple[float, int]] = []
         self._last = 0.0
 
     def start(self, t: float) -> None:
@@ -134,9 +132,6 @@ class WallRecorder:
         self.sends.append((msg_id, dest, tag, nwords))
         self.note_op(SEND, t_start, t_end, 0.0, msg_id)
 
-    def note_spill(self, t: float, msg_id: int) -> None:
-        self.spills.append((t, msg_id))
-
     def finish(self, t_end: float) -> None:
         """Close the log: trailing work after the last op, if any."""
         if t_end > self._last:
@@ -152,7 +147,6 @@ class WallRecorder:
             "waits": self.waits,
             "msgs": self.msgs,
             "sends": self.sends,
-            "spills": self.spills,
         }
 
 
@@ -247,7 +241,6 @@ class MergedRun:
     rank_makespan: float  #: max per-rank duration on its *own* clock
     start_spread: float  #: spread of aligned clock starts (boot stagger)
     epoch: float  #: parent-clock perf_counter of the merged time zero
-    spills: list[tuple[float, int, int]]  #: aligned ``(t, rank, msg_id)``
 
 
 def merge_streams(streams: dict[int, dict],
@@ -369,11 +362,6 @@ def merge_streams(streams: dict[int, dict],
             ))
     msgs.sort(key=lambda m: m.id)
 
-    spills = sorted(
-        (t - offsets[r] - epoch, r, mid)
-        for r in ranks
-        for (t, mid) in streams[r]["spills"]
-    )
     return MergedRun(
         nodes=nodes,
         msgs=msgs,
@@ -381,7 +369,6 @@ def merge_streams(streams: dict[int, dict],
         rank_makespan=rank_makespan,
         start_spread=start_spread,
         epoch=epoch,
-        spills=spills,
     )
 
 
@@ -395,8 +382,7 @@ def record_measured_run(tracer, streams, offsets, skews, *, nranks,
     ``vm.run`` marker with ``clock="wall"`` (its ``skew`` attribute is
     the alignment error bound — recorder start spread plus twice the
     worst per-rank handshake uncertainty), append one
-    :class:`ClockRecord` per rank, emit ``transport.spill`` events, and
-    mirror the VM's per-rank traffic series with a ``clock="wall"``
+    :class:`ClockRecord` per rank, and mirror the VM's per-rank traffic series with a ``clock="wall"``
     label.  Returns the merged ``(nodes, msgs)`` lists — shared with the
     tracer — so the backend's ``RunResult`` can carry them too.
     """
@@ -432,11 +418,6 @@ def record_measured_run(tracer, streams, offsets, skews, *, nranks,
             run=run_id, rank=r,
             offset=offsets.get(r, 0.0), skew=skews.get(r, 0.0),
         ))
-    for t, r, mid in merged.spills:
-        tracer.event(
-            "transport.spill", rank=r,
-            run=run_id, msg=mid, t=t, clock="wall",
-        )
     # Mirror the VM's per-rank traffic series in measured form; the
     # clock="wall" label keeps them apart from the modelled samples.
     rank_busy = [0.0] * nranks

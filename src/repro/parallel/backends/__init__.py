@@ -16,11 +16,6 @@ operations over some transport:
     real ``multiprocessing`` queues with ``(source, tag)`` matching and
     wildcard semantics identical to the virtual machine's mailbox.
     Clocks are measured host wall seconds.
-``shm``
-    The ``multiprocessing`` driver with a zero-copy shared-memory
-    transport: numpy payloads cross rank boundaries through a slab pool
-    (:mod:`repro.parallel.backends.shm`) as typed wire headers instead
-    of pickles; everything else spills to the queue path unchanged.
 ``mpi4py``
     One MPI rank per process under ``mpiexec``; registered only when
     :mod:`mpi4py` is importable.
@@ -50,6 +45,7 @@ __all__ = [
     "register_backend",
     "resolve_backend",
     "record_backend_run",
+    "validate_backend",
 ]
 
 #: name -> factory(nranks, machine, **opts) returning a backend object
@@ -93,17 +89,36 @@ def create_communicator(
     Additional keywords are passed to the backend factory (e.g.
     ``tracer=`` for ``virtual``, ``timeout=`` for ``multiprocessing``).
     """
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        hint = ""
-        if name == "mpi4py":
-            hint = " (the mpi4py backend registers only when mpi4py is importable)"
+    validate_backend(name, nranks)
+    return _REGISTRY[name](nranks, machine=machine, **opts)
+
+
+def validate_backend(backend, nranks: int) -> None:
+    """Check a backend name or object without building anything.
+
+    A name must be registered; an object must have a ``run`` method and,
+    when it exposes ``nranks``, span exactly ``nranks`` ranks.
+    """
+    if isinstance(backend, str):
+        if backend not in _REGISTRY:
+            hint = ""
+            if backend == "mpi4py":
+                hint = (" (the mpi4py backend registers only when mpi4py "
+                        "is importable)")
+            raise ValueError(
+                f"unknown communicator backend {backend!r}; available: "
+                f"{', '.join(available_backends())}{hint}"
+            )
+        return
+    if not hasattr(backend, "run"):
+        raise TypeError(
+            f"backend must be a name or an object with .run, got {backend!r}"
+        )
+    got = getattr(backend, "nranks", nranks)
+    if got != nranks:
         raise ValueError(
-            f"unknown communicator backend {name!r}; available: "
-            f"{', '.join(available_backends())}{hint}"
-        ) from None
-    return factory(nranks, machine=machine, **opts)
+            f"backend spans {got} ranks but the workload needs {nranks}"
+        )
 
 
 def resolve_backend(
@@ -114,21 +129,12 @@ def resolve_backend(
 ):
     """Coerce a backend name or ready-made backend object to a backend.
 
-    The dist-layer entry points accept either form; an object just needs
-    a ``run`` method and is checked for a matching rank count when it
-    exposes ``nranks``.
+    The dist-layer entry points accept either form; an object is checked
+    by :func:`validate_backend`.
     """
     if isinstance(backend, str):
         return create_communicator(backend, nranks, machine=machine, **opts)
-    if not hasattr(backend, "run"):
-        raise TypeError(
-            f"backend must be a name or an object with .run, got {backend!r}"
-        )
-    got = getattr(backend, "nranks", nranks)
-    if got != nranks:
-        raise ValueError(
-            f"backend spans {got} ranks but the workload needs {nranks}"
-        )
+    validate_backend(backend, nranks)
     return backend
 
 
@@ -166,10 +172,6 @@ register_backend("virtual", VirtualBackend)
 from .mp import MultiprocessingBackend  # noqa: E402
 
 register_backend("multiprocessing", MultiprocessingBackend)
-
-from .shm import SharedMemoryBackend  # noqa: E402
-
-register_backend("shm", SharedMemoryBackend)
 
 # mpi4py rides along only when the package exists (chainermn-style
 # conditional registration: the import itself stays lazy until first use).

@@ -73,12 +73,6 @@ DEFAULT_TIMEOUT = 60.0
 #: processes to report back before declaring them hung.
 DEFAULT_GRACE = 30.0
 
-#: Transport counter keys surfaced into the metrics registry.
-_TRANSPORT_METRIC_KEYS = (
-    "bytes_zero_copy", "bytes_pickled", "msgs_zero_copy", "msgs_pickled",
-    "slab_reuse", "spills",
-)
-
 
 class MultiprocessingBackend:
     """Run rank programs on real cores, one forked process per rank."""
@@ -113,12 +107,6 @@ class MultiprocessingBackend:
         #: default); sampling runs whenever a tracer or live hub is on.
         self.resource_interval = resource_interval
 
-    def _make_transport(self, ctx):
-        """Hook for subclasses: build the per-run wire transport (parent
-        side, before forking).  None means payloads pickle through the
-        queues unchanged."""
-        return None
-
     def run(self, program, *args, **kwargs) -> RunResult:
         """Run ``program(comm, *args, **kwargs)`` on every rank.
 
@@ -130,7 +118,6 @@ class MultiprocessingBackend:
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
-        transport = self._make_transport(ctx)
         inboxes = [ctx.Queue() for _ in range(self.nranks)]
         result_q = ctx.Queue()
 
@@ -168,7 +155,7 @@ class MultiprocessingBackend:
             p = ctx.Process(
                 target=_rank_worker,
                 args=(r, self.nranks, self.machine, program, a, kw,
-                      inboxes, result_q, self.timeout, transport, sync,
+                      inboxes, result_q, self.timeout, sync,
                       channel, res_interval),
                 daemon=True,
             )
@@ -245,13 +232,10 @@ class MultiprocessingBackend:
             for q in inboxes:
                 q.close()
                 q.cancel_join_thread()
-            if transport is not None:
-                transport.dispose()
         wall = time.perf_counter() - t0
 
         returns, clocks, waited = [], [], []
         words_s, msgs_s, words_r, msgs_r = [], [], [], []
-        transport_per_rank: list[dict] = []
         streams: dict[int, dict] = {}
         res_rows: dict[int, dict] = {}
         for r in range(self.nranks):
@@ -263,7 +247,6 @@ class MultiprocessingBackend:
             msgs_s.append(stats["msgs_sent"])
             words_r.append(stats["words_recv"])
             msgs_r.append(stats["msgs_recv"])
-            transport_per_rank.append(stats.get("transport", {}))
             if "rec" in stats:
                 streams[r] = stats["rec"]
             if "res" in stats:
@@ -271,13 +254,6 @@ class MultiprocessingBackend:
         makespan = max(clocks) if clocks else 0.0
         busy = [c - w for c, w in zip(clocks, waited)]
         idle = [makespan - b for b in busy]
-        transport_totals = None
-        if transport is not None:
-            transport_totals = {}
-            for d in transport_per_rank:
-                for k, v in d.items():
-                    transport_totals[k] = transport_totals.get(k, 0) + v
-            transport.note_run_totals(transport_totals)
         if self.tracer is not None:
             from ...obs.resource import record_resource_samples
 
@@ -289,19 +265,6 @@ class MultiprocessingBackend:
                 record_resource_samples(
                     self.tracer, res_rows.get(r), rank=r, backend=self.name,
                 )
-            if transport_totals is not None:
-                for key in _TRANSPORT_METRIC_KEYS:
-                    self.tracer.metric(
-                        f"repro.transport.{key}",
-                        transport_totals.get(key, 0),
-                        kind="counter", backend=self.name,
-                    )
-                    for r in range(self.nranks):
-                        self.tracer.metric(
-                            f"repro.transport.{key}",
-                            transport_per_rank[r].get(key, 0),
-                            kind="counter", rank=r, backend=self.name,
-                        )
         merged_nodes = merged_msgs = None
         if recording and len(streams) == self.nranks:
             merged_nodes, merged_msgs = self._record_measured_run(
@@ -321,7 +284,6 @@ class MultiprocessingBackend:
             idle_per_rank=idle,
             wall_seconds=wall,
             backend=self.name,
-            transport=transport_totals,
             nodes=merged_nodes,
             msgs=merged_msgs,
         )
@@ -344,13 +306,12 @@ class MultiprocessingBackend:
 
 
 def _rank_worker(rank, size, machine, program, args, kwargs,
-                 inboxes, result_q, timeout, transport=None, sync=None,
+                 inboxes, result_q, timeout, sync=None,
                  channel=None, res_interval=None):
     """Child-process entry: drive one rank's generator over the queues."""
     try:
         retval, stats = _drive(rank, size, machine, program, args, kwargs,
-                               inboxes, timeout, transport, sync,
-                               channel, res_interval)
+                               inboxes, timeout, sync, channel, res_interval)
         result_q.put(("ok", rank, retval, stats))
     except _RecvTimeout as exc:
         result_q.put(("error", rank, "deadlock", str(exc)))
@@ -367,7 +328,7 @@ _PROGRESS_INTERVAL = 0.1
 
 
 def _drive(rank, size, machine, program, args, kwargs, inboxes, timeout,
-           transport=None, sync=None, channel=None, res_interval=None):
+           sync=None, channel=None, res_interval=None):
     from ..simcomm import Comm
 
     comm = Comm(rank, size, machine)
@@ -384,9 +345,6 @@ def _drive(rank, size, machine, program, args, kwargs, inboxes, timeout,
     seq = 0
     waited = 0.0
     words_sent = msgs_sent = words_recv = msgs_recv = 0
-    if transport is not None:
-        # map shared pages into this rank before the clock starts
-        transport.warmup()
     rec = None
     if sync is not None:
         # Measured tracing: start recording immediately — the clock
@@ -445,22 +403,13 @@ def _drive(rank, size, machine, program, args, kwargs, inboxes, timeout,
             if not 0 <= op.dest < size:
                 raise ValueError(f"rank {rank}: send to invalid rank {op.dest}")
             if rec is None:
-                wire = (
-                    op.payload if transport is None
-                    else transport.encode(op.payload, op.nwords)
-                )
-                inboxes[op.dest].put((rank, op.tag, wire, op.nwords, -1))
+                inboxes[op.dest].put(
+                    (rank, op.tag, op.payload, op.nwords, -1))
             else:
                 ts = time.perf_counter()
                 mid = msgs_sent * size + rank  # globally unique msg id
-                if transport is None:
-                    wire = op.payload
-                else:
-                    spills0 = transport.counters.get("spills", 0)
-                    wire = transport.encode(op.payload, op.nwords)
-                    if transport.counters.get("spills", 0) > spills0:
-                        rec.note_spill(ts, mid)
-                inboxes[op.dest].put((rank, op.tag, wire, op.nwords, mid))
+                inboxes[op.dest].put(
+                    (rank, op.tag, op.payload, op.nwords, mid))
                 rec.note_send(mid, op.dest, op.tag, op.nwords,
                               ts, time.perf_counter())
             words_sent += op.nwords
@@ -494,11 +443,7 @@ def _drive(rank, size, machine, program, args, kwargs, inboxes, timeout,
                 msg = mailbox.pop_match(op.source, op.tag)
             words_recv += msg.nwords
             msgs_recv += 1
-            payload = (
-                msg.payload if transport is None
-                else transport.decode(msg.payload)
-            )
-            value = (payload, msg.source, msg.tag)
+            value = (msg.payload, msg.source, msg.tag)
             if rec is not None:
                 rec.note_op(2, ts, time.perf_counter(), this_wait,
                             mid_by_seq.pop(msg.seq, -1))  # 2 = RECV
@@ -509,11 +454,7 @@ def _drive(rank, size, machine, program, args, kwargs, inboxes, timeout,
             if msg is not None:
                 words_recv += msg.nwords
                 msgs_recv += 1
-                payload = (
-                    msg.payload if transport is None
-                    else transport.decode(msg.payload)
-                )
-                value = (True, (payload, msg.source, msg.tag))
+                value = (True, (msg.payload, msg.source, msg.tag))
             else:
                 value = (False, None)
             if rec is not None:
@@ -537,8 +478,6 @@ def _drive(rank, size, machine, program, args, kwargs, inboxes, timeout,
         "words_recv": words_recv,
         "msgs_recv": msgs_recv,
     }
-    if transport is not None:
-        stats["transport"] = dict(transport.counters)
     if sampler is not None:
         sampler.stop()
         if rec is not None:  # only a traced run has somewhere to put rows

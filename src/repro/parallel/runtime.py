@@ -457,7 +457,7 @@ class RunResult:
         "returns", "clocks", "total_messages", "total_words",
         "words_sent_per_rank", "words_recv_per_rank", "msgs_sent_per_rank",
         "msgs_recv_per_rank", "busy_per_rank", "idle_per_rank",
-        "wall_seconds", "backend", "transport",
+        "wall_seconds", "backend",
         "_trace", "_nodes", "_msgs", "_record", "_want_trace",
     )
 
@@ -466,7 +466,7 @@ class RunResult:
                  msgs_sent_per_rank=None, msgs_recv_per_rank=None,
                  busy_per_rank=None, idle_per_rank=None, nodes=None,
                  msgs=None, wall_seconds=None, backend="virtual",
-                 record=None, want_trace=False, transport=None):
+                 record=None, want_trace=False):
         self.returns = returns
         self.clocks = clocks
         self.total_messages = total_messages
@@ -488,10 +488,6 @@ class RunResult:
         self.wall_seconds = wall_seconds
         #: Name of the communicator backend that produced this result.
         self.backend = backend
-        #: Aggregated wire-transport counters (``bytes_zero_copy``,
-        #: ``bytes_pickled``, ``slab_reuse``, ...) when the backend ran a
-        #: shared-memory transport; None otherwise.
-        self.transport = transport
         self._trace = trace
         self._nodes = nodes
         self._msgs = msgs

@@ -1,11 +1,13 @@
 """Integration tests of the full Fig.-1 cycle."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.core import CostModel, LoadBalancedAdaptiveSolver
 from repro.mesh import box_mesh, edge_midpoints
-from repro.parallel import MachineModel
+from repro.parallel import MachineModel, create_communicator
 
 CHEAP_MACHINE = MachineModel(t_setup=1e-5, t_word=1e-7, t_work=1e-6)
 
@@ -24,16 +26,51 @@ def make_solver(nproc=4, **kw):
     )
 
 
+#: (nproc, keyword arguments, error-message pattern) the constructor rejects
+_BAD_CONSTRUCTOR_ARGS = [
+    (0, {}, "nproc"),
+    (2.5, {}, "nproc must be an integer"),
+    (True, {}, "nproc must be an integer"),
+    (2, {"F": 0}, "F must be an integer >= 1"),
+    (2, {"F": 2.0}, "F must be an integer"),
+    (2, {"seed": -1}, "seed must be an integer >= 0"),
+    (2, {"seed": 1.5}, "seed must be an integer"),
+    (2, {"imbalance_threshold": np.nan}, "imbalance_threshold"),
+    (2, {"imbalance_threshold": 0.99}, "imbalance_threshold"),
+    (2, {"imbalance_threshold": "1.2"}, "imbalance_threshold"),
+    (2, {"reassigner": "nope"}, "reassigner"),
+    (2, {"remap_when": "sometimes"}, "remap_when"),
+    (2, {"reassigner": "optimal_bmcm", "F": 2}, "F = 1"),
+    (2, {"backend": SimpleNamespace(run=None, nranks=3)}, "spans 3 ranks"),
+]
+
+
 def test_constructor_validation():
     m = box_mesh(1, 1, 1)
-    with pytest.raises(ValueError, match="nproc"):
-        LoadBalancedAdaptiveSolver(m, 0)
-    with pytest.raises(ValueError, match="reassigner"):
-        LoadBalancedAdaptiveSolver(m, 2, reassigner="nope")
-    with pytest.raises(ValueError, match="remap_when"):
-        LoadBalancedAdaptiveSolver(m, 2, remap_when="sometimes")
-    with pytest.raises(ValueError, match="F = 1"):
-        LoadBalancedAdaptiveSolver(m, 2, reassigner="optimal_bmcm", F=2)
+    for nproc, kw, match in _BAD_CONSTRUCTOR_ARGS:
+        with pytest.raises(ValueError, match=match):
+            LoadBalancedAdaptiveSolver(m, nproc, **kw)
+    # numpy integers, an infinite threshold (balancing off) and a
+    # ready-made backend object of the right size are legal
+    comm = create_communicator("virtual", 2)
+    s = LoadBalancedAdaptiveSolver(
+        m, np.int64(2), F=np.int32(1), seed=np.int64(3),
+        imbalance_threshold=np.inf, backend=comm,
+    )
+    assert s.nproc == 2 and s.backend is comm
+
+
+@pytest.mark.parametrize("nproc, kw", [
+    (1, {}),  # one rank never remaps
+    (2, {"imbalance_threshold": np.inf}),  # balancing never triggers
+])
+def test_unknown_backend_rejected_at_construction(nproc, kw):
+    m = box_mesh(1, 1, 1)
+    with pytest.raises(ValueError) as registry_err:
+        create_communicator("no_such_backend", nproc)
+    with pytest.raises(ValueError) as solver_err:
+        LoadBalancedAdaptiveSolver(m, nproc, backend="no_such_backend", **kw)
+    assert str(solver_err.value) == str(registry_err.value)
 
 
 def test_more_partitions_than_elements_rejected():

@@ -53,14 +53,12 @@ def test_recorder_finish_without_trailing_gap_adds_nothing():
     assert rec.columns()["kinds"] == [SEND]
 
 
-def test_recorder_send_and_spill_bookkeeping():
+def test_recorder_send_bookkeeping():
     rec = WallRecorder()
     rec.start(0.0)
     rec.note_send(7, 2, 5, 64, 0.1, 0.2)
-    rec.note_spill(0.15, 7)
     cols = rec.columns()
     assert cols["sends"] == [(7, 2, 5, 64)]
-    assert cols["spills"] == [(0.15, 7)]
     assert cols["kinds"] == [WORK, SEND]
     assert cols["msgs"] == [-1, 7]
 
@@ -173,15 +171,6 @@ def test_merge_streams_clamps_bogus_waits():
     merged = merge_streams(streams, offsets)
     for node in merged.nodes:
         assert 0.0 <= node.wait <= (node.t_end - node.t_start) + 1e-12
-
-
-def test_merge_streams_aligns_spills():
-    streams, offsets = _two_rank_streams(shift=2.0)
-    streams[1]["spills"] = [(102.0035, 0)]
-    merged = merge_streams(streams, offsets)
-    [(t, rank, mid)] = merged.spills
-    assert (rank, mid) == (1, 0)
-    assert t == pytest.approx(0.0035)
 
 
 def _recorded_tracer():

@@ -1,6 +1,6 @@
 """Measured backends feed the live side channel and the v5 resource layer.
 
-The forked ``multiprocessing``/``shm`` ranks run a resource sampler and
+The forked ``multiprocessing`` ranks run a resource sampler and
 stream progress/resource frames over the :class:`LiveChannel` installed
 through the ambient :class:`TelemetryHub`.  These tests pin the whole
 path: per-rank ``resource`` records land in the trace with backend
@@ -32,7 +32,7 @@ def _pingpong(comm, rounds):
     return comm.rank
 
 
-@pytest.mark.parametrize("backend", ["multiprocessing", "shm"])
+@pytest.mark.parametrize("backend", ["multiprocessing"])
 def test_traced_run_records_per_rank_resources(backend, tmp_path):
     tracer = Tracer()
     with tracer.phase(f"{backend}-pingpong", kind="compute"):

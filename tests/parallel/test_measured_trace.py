@@ -1,4 +1,4 @@
-"""Measured-backend tracing: real mp/shm runs exporting wall-clock traces.
+"""Measured-backend tracing: real mp runs exporting wall-clock traces.
 
 Each real-process run here costs a few forks, so the tests batch their
 assertions: one traced run per backend feeds schema, causal, metric, and
@@ -7,7 +7,6 @@ export checks together.
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.obs import (
@@ -25,13 +24,12 @@ from repro.parallel import create_communicator
 from repro.parallel.runtime import ProbeOp, RecvOp, SendOp, WorkOp
 
 
-def _ring(comm, rounds, nwords=64, payload=None):
+def _ring(comm, rounds):
     nxt = (comm.rank + 1) % comm.size
     prv = (comm.rank - 1) % comm.size
-    body = payload if payload is not None else ("tok", comm.rank)
     for i in range(rounds):
         yield WorkOp(100.0)
-        yield SendOp(nxt, 5, body, nwords)
+        yield SendOp(nxt, 5, ("tok", comm.rank), 64)
         hit = yield ProbeOp(prv, 5)
         if not hit[0]:
             got = yield RecvOp(prv, 5)
@@ -131,39 +129,6 @@ def test_diff_degrades_when_one_side_is_virtual_only(mp_trace):
     assert d.makespan_b > 0.0
     rows = {(phase, kind) for phase, kind, *_ in d.rows}
     assert ("mp-ring", "work") in rows
-
-
-@pytest.fixture(scope="module")
-def shm_trace():
-    """One traced 2-rank shm run with zero-copy numpy payloads."""
-    tracer = Tracer()
-    payload = np.arange(2048, dtype=np.float64)
-    with tracer.phase("shm-ring", kind="compute"):
-        comm = create_communicator("shm", 2, tracer=tracer)
-        result = comm.run(_ring, 2, nwords=2048, payload=payload)
-    return tracer, result
-
-
-def test_shm_run_records_transport_counters(shm_trace):
-    tracer, _ = shm_trace
-    reg = tracer.metrics
-    zc = reg.per_rank(
-        "repro.transport.msgs_zero_copy", labels={"backend": "shm"}
-    )
-    assert set(zc) == {0, 1}
-    assert sum(zc.values()) == 4.0  # 2 rounds x 2 ranks, all zero-copy
-    spills = reg.per_rank(
-        "repro.transport.spills", labels={"backend": "shm"}
-    )
-    assert sum(spills.values()) == 0.0
-
-
-def test_shm_run_records_a_wall_run_too(shm_trace):
-    tracer, result = shm_trace
-    [run] = runs_from_tracer(tracer, clock="wall")
-    assert run.phase == "shm-ring"
-    verify_makespans(tracer)
-    assert result.nodes == run.nodes
 
 
 def test_untraced_mp_run_keeps_the_plain_wire():

@@ -1,11 +1,10 @@
 """Cross-backend payload identity on adversarial payloads.
 
-Every wire — the virtual machine's in-memory handoff, the queue
-backend's pickling, the shm backend's slab packing with pickle spill —
-must deliver payloads bit-identical to what was sent.  The payloads
-here are chosen to stress the slab codec's edges: non-contiguous
-views, zero-length arrays, blocks larger than a slab, mixed-dtype
-containers, and dtypes that must spill.
+Every wire — the virtual machine's in-memory handoff and the queue
+backend's pickling — must deliver payloads bit-identical to what was
+sent.  The payloads here are chosen to stress array serialisation:
+non-contiguous views, zero-length arrays, blocks over 1 MB, mixed-dtype
+containers, and structured dtypes.
 """
 
 import numpy as np
@@ -19,19 +18,19 @@ BACKENDS = [b for b in available_backends() if b != "mpi4py"]
 def _adversarial_payloads():
     base = np.arange(4096, dtype=np.float64).reshape(64, 64)
     return [
-        # non-contiguous strided slice (packs to a compact copy)
+        # non-contiguous strided slice
         base[::2, 1::3],
         # reversed view: negative strides
         np.arange(1000, dtype=np.float64)[::-1],
-        # zero-length array (below min_bytes -> pickle path)
+        # zero-length array
         np.empty((0,), dtype=np.float64),
         # empty with nonzero dims on other axes
         np.zeros((3, 0, 5), dtype=np.int64),
-        # > 1 MB float64 block (larger than the default slab -> spill)
+        # > 1 MB float64 block
         np.arange(150_000, dtype=np.float64) * 0.5,
         # Fortran-ordered block
         np.asfortranarray(np.arange(900, dtype=np.float64).reshape(30, 30)),
-        # mixed-dtype tuple: eligible array + small array + non-arrays
+        # mixed-dtype tuple: arrays + non-arrays
         (
             np.arange(1000, dtype=np.int32),
             np.linspace(0.0, 1.0, 500),
@@ -40,9 +39,9 @@ def _adversarial_payloads():
         ),
         # list container with a float32 member
         [np.full(300, 2.5, dtype=np.float32), "tail"],
-        # structured dtype (void kind -> must spill, values preserved)
+        # structured dtype (void kind, values preserved)
         np.array([(1, 2.5), (3, 4.5)], dtype=[("a", "i8"), ("b", "f8")]),
-        # non-array scalars ride the pickle path untouched
+        # non-array scalars
         3.25,
         None,
     ]
@@ -105,19 +104,3 @@ def test_backends_agree_with_each_other():
         ).returns[0]
         for i, (g, w) in enumerate(zip(got, reference)):
             _assert_identical(g, w, f"{backend} vs virtual: payload {i}")
-
-
-def test_shm_spill_accounting_matches_payload_mix():
-    """The adversarial mix must split between slabs and pickle as designed."""
-    payloads = _adversarial_payloads()
-    res = create_communicator("shm", 2, timeout=60.0).run(
-        _echo_program, payloads
-    )
-    t = res.transport
-    # both directions counted: every message is either zero-copy or pickled
-    assert t["msgs_zero_copy"] + t["msgs_pickled"] == 2 * len(payloads)
-    # the eligible arrays (slices, reversed, 1MB-, F-order, tuple members)
-    # did ride the slabs...
-    assert t["msgs_zero_copy"] >= 2 * 5
-    # ...and the oversized block forced exactly one spill per direction
-    assert t["bytes_pickled"] >= 2 * 150_000 * 8
